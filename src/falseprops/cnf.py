@@ -103,14 +103,8 @@ class VarMap:
     def role_of(self, v: int) -> str:
         return self.roles[v]
 
-    def frame_of(self, v: int) -> int:
-        return 0 if self.frames is None else self.frames[v]
-
     def with_role(self, role: str) -> tuple[int, ...]:
         return tuple(v for v, r in enumerate(self.roles) if r == role)
-
-    def name_of(self, v: int) -> str:
-        return self.names[v] if self.names is not None else f"v{v}"
 
 
 def varmap_uniform(n: int, role: str = ROLE_INTERNAL) -> VarMap:

@@ -7,17 +7,29 @@ solution is a set Q of clauses over the free variables with
 
 Two engines produce solutions: a truth-table oracle (projection by model
 enumeration, exponential in the free variables, trusted) and a CEGAR loop
-(candidate model search against F', UNSAT-core generalization against F*).
+(candidate model search, UNSAT-core generalization against F*).
+
+The CEGAR search runs over one of two formulas.  For a single-gate
+combinational mutation (every variable an input, internal or output, G*
+owned by one gate y of the formula's gate table) it is an expansion
+miter whose every model is a row that ∃F* lacks: with L* the clauses of
+y's group in F* and every other gate a function of its fanins, a row is
+missing exactly when neither value of the single bit y satisfies L* and
+reproduces the outputs, and that "for all" over one bit expands into one
+SAT query (universal expansion, Biere, "Resolve and Expand", SAT 2004;
+the classic ATPG miter of Larrabee, IEEE TCAD 1992, over a relational
+mutation).  Every other problem (sequential unrollings, DIMACS imports,
+flips of unowned clauses) searches F' and blocks each row F* extends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cnf import (Clause, CnfFormula, GroupSplit, Lit, ROLE_INPUT,
-                  ROLE_OUTPUT, clause)
+                  ROLE_INTERNAL, ROLE_OUTPUT, clause)
 from .sat import Solver, implies, solver_for
 
 ENUM_BOUND_DEFAULT = 20
@@ -39,13 +51,6 @@ class TruthTable:
 
     def __contains__(self, row: tuple[int, ...]) -> bool:
         return row in self.rows
-
-    def value(self, row: tuple[int, ...]) -> int:
-        return int(row in self.rows)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
 
     def is_functional(self, n_domain: int) -> bool:
         """Exactly one completion per assignment of the first n_domain vars."""
@@ -78,10 +83,6 @@ class PqeProblem:
         got = sorted(set(self.gstar) | set(self.fprime))
         if got != list(range(len(self.formula.clauses))):
             raise PqeError("gstar and fprime index sets must partition the clauses")
-
-    @property
-    def fstar_formula(self) -> CnfFormula:
-        return self.formula
 
     @property
     def fprime_formula(self) -> CnfFormula:
@@ -165,7 +166,7 @@ def verify_solution(problem: PqeProblem, clauses: Sequence[Clause],
                     bound: int = ENUM_BOUND_DEFAULT) -> bool:
     """Row-by-row check of the defining equivalence by enumeration."""
     free = problem.free
-    tbl_star = qe_enumerate(problem.fstar_formula, problem.quantified, bound)
+    tbl_star = qe_enumerate(problem.formula, problem.quantified, bound)
     tbl_prime = qe_enumerate(problem.fprime_formula, problem.quantified, bound)
     for bits in product((0, 1), repeat=len(free)):
         env = dict(zip(free, bits))
@@ -183,7 +184,7 @@ def pqe_oracle(problem: PqeProblem, bound: int = ENUM_BOUND_DEFAULT) -> PqeSolut
     if len(free) > bound:
         raise EnumerationBoundExceeded(
             f"{len(free)} free variables exceed the enumeration bound {bound}")
-    tbl_star = qe_enumerate(problem.fstar_formula, problem.quantified, bound)
+    tbl_star = qe_enumerate(problem.formula, problem.quantified, bound)
     tbl_prime = qe_enumerate(problem.fprime_formula, problem.quantified, bound)
     q = [_row_clause(free, bits) for bits in sorted(tbl_prime.rows)
          if bits not in tbl_star.rows]
@@ -198,20 +199,105 @@ def pqe_oracle(problem: PqeProblem, bound: int = ENUM_BOUND_DEFAULT) -> PqeSolut
 # ---------------------------------------------------------------------------
 # CEGAR engine
 
+def _expansion_miter(problem: PqeProblem
+                     ) -> Optional[tuple[int, list[list[Lit]]]]:
+    """Variable count and clauses that turn F' into the expansion miter, or
+    None when the problem is not a single-gate combinational mutation.
+
+    L* is G* plus the clauses of y's group that stayed in F' (a clause flip
+    replaces one clause only).  If y is an output the row fixes it, and the
+    miter is F' ∧ ¬L*(y).  Otherwise a copy of y's transitive fanout is
+    driven by ¬y, and the miter is F' ∧ ¬L*(y) ∧ (¬L*(¬y) ∨ some output
+    differs between the copies).  Each ¬L* takes one selector per clause
+    and each output one difference selector, all numbered above the
+    formula's variables, after the fanout copy.
+    """
+    f = problem.formula
+    vm = f.varmap
+    table = f.gate_table
+    if table is None or not set(vm.roles) <= {ROLE_INPUT, ROLE_INTERNAL,
+                                              ROLE_OUTPUT}:
+        return None
+    origins = {f.clauses[i].origin for i in problem.gstar}
+    if len(origins) != 1:
+        return None
+    (y,) = origins
+    if not isinstance(y, int) or y not in table:
+        return None
+    fprime = [f.clauses[i] for i in problem.fprime]
+    if problem.quantified != frozenset(vm.with_role(ROLE_INTERNAL)) or \
+            not all(c.origin in table for c in fprime):
+        return None
+    lstar = [f.clauses[i] for i in problem.gstar] + \
+        [c for c in fprime if c.origin == y]
+    readers: dict[int, list[int]] = {}
+    for g in table.values():
+        for a in set(g.fanins):
+            readers.setdefault(a, []).append(g.output)
+    fanout: set[int] = set()
+    stack = [y]
+    while stack:
+        for r in readers.get(stack.pop(), ()):
+            if r not in fanout:
+                fanout.add(r)
+                stack.append(r)
+    nv = f.num_vars
+    copy = {v: nv + k for k, v in enumerate(sorted(fanout))}
+    top = nv + len(copy)
+    extra: list[list[Lit]] = []
+
+    def flipped(l: Lit) -> Lit:
+        if l.var == y:
+            return -l
+        return Lit(copy[l.var], l.neg) if l.var in copy else l
+
+    def some_false(clauses: Sequence[Clause], rename) -> list[Lit]:
+        nonlocal top
+        sel = []
+        for c in clauses:
+            a = Lit(top)
+            top += 1
+            sel.append(a)
+            extra.extend([-a, -rename(l)] for l in c.lits)
+        return sel
+
+    extra.append(some_false(lstar, lambda l: l))
+    if vm.role_of(y) != ROLE_OUTPUT:
+        extra.extend([flipped(l) for l in c.lits]
+                     for c in fprime if c.origin in copy)
+        alt = some_false(lstar, flipped)
+        for o in sorted(copy):
+            if vm.role_of(o) == ROLE_OUTPUT:
+                d = Lit(top)
+                top += 1
+                alt.append(d)
+                extra.append([-d, Lit(o), Lit(copy[o])])
+                extra.append([-d, Lit(o, True), Lit(copy[o], True)])
+        extra.append(alt)
+    return top, extra
+
+
 def pqe_cegar(problem: PqeProblem, early_stop: bool = False,
               clause_budget: Optional[int] = None,
               conflict_limit: Optional[int] = None) -> PqeSolution:
-    """Model search over F' refuted or generalized against F*.
+    """Model search refuted or generalized against F*.
 
-    Each candidate model of F' ∧ Q (projected to the free variables) is
-    checked against F*.  If F* extends it, the row is correct and gets
-    blocked from the search only.  Otherwise the UNSAT core over the row
+    The search formula is the expansion miter for a single-gate
+    combinational mutation (see the module docstring), and F' otherwise.
+    Each candidate model of the search formula ∧ Q (projected to the free
+    variables) is checked against F*.  If F* extends it, the row is correct
+    and gets blocked from the search only; a miter has no such rows, so
+    there it is an error.  Otherwise the UNSAT core over the row
     assumptions shrinks greedily (ascending variable id) and the negation of
-    the surviving assumptions joins Q.  With early_stop, the loop returns as
-    soon as an emitted clause is not implied by the original formula.
+    the surviving assumptions joins Q.  The loop ends when the search
+    formula ∧ Q is UNSAT.  With early_stop, it returns as soon as an
+    emitted clause is not implied by the original formula.
     """
     nv = problem.formula.num_vars
-    search = Solver(nv, (problem.formula.clauses[i] for i in problem.fprime),
+    miter = _expansion_miter(problem)
+    n_search, extra = miter if miter is not None else (nv, ())
+    search = Solver(n_search, chain((problem.formula.clauses[i]
+                                     for i in problem.fprime), extra),
                     conflict_limit=conflict_limit)
     check = Solver(nv, problem.formula.clauses, conflict_limit=conflict_limit)
     orig_solver: Optional[Solver] = None
@@ -235,6 +321,8 @@ def pqe_cegar(problem: PqeProblem, early_stop: bool = False,
         row = [Lit(v, neg=(model[v] == 0)) for v in free]
         ver = check.solve(row)
         if ver.is_sat:
+            if miter is not None:
+                raise PqeError("F* extends a row of the expansion miter")
             search.add_clause([-l for l in row])
             continue
         core_vars = {l.var for l in ver.core}

@@ -10,10 +10,10 @@ from .cnf import encode_circuit
 from .mutate import apply_mutation
 from .netlist import Circuit, Gate, emit_netlist, parse_netlist, simulate
 from .pqe import problem_from_split, pqe_cegar, verify_solution
-from .randcirc import random_circuit, random_mutation, random_sequential
+from .randcirc import random_circuit, random_sequential
 from .sat import solver_for
 from .seq import unroll
-from .verify import atpg_stuck_at
+from .verify import COMPSET_POLICIES, atpg_stuck_at, policy_mutation
 from .cnf import Lit
 
 
@@ -66,11 +66,14 @@ def _check_encoding(rng: random.Random, instances: int) -> int:
 
 
 def _check_pqe(rng: random.Random, instances: int) -> int:
+    """CEGAR answers (expansion-miter search) against enumeration, each
+    compset policy in turn on a random gate."""
     failures = 0
-    for _ in range(instances):
+    for k in range(instances):
         c = random_circuit(rng, rng.randint(2, 4), rng.randint(2, 6))
         f = encode_circuit(c)
-        m = random_mutation(rng, f)
+        m = policy_mutation(f, rng.choice(sorted(f.groups)),
+                            COMPSET_POLICIES[k % len(COMPSET_POLICIES)])
         problem = problem_from_split(apply_mutation(f, m), original=f)
         sol = pqe_cegar(problem)
         if not verify_solution(problem, sol.clauses):

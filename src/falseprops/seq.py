@@ -413,6 +413,9 @@ def seq_compset(spec: Specification, circuit: Circuit, n: int,
             prop, sol = false_safety_prop(u, m, frame=frame, replicate=replicate,
                                           clause_budget=clause_budget,
                                           conflict_limit=conflict_limit)
+            if not sol.partial:
+                trace = find_counterexample(u, prop,
+                                            conflict_limit=conflict_limit)
         except BudgetExceeded:
             sol = None
         if sol is None or sol.partial:
@@ -420,7 +423,6 @@ def seq_compset(spec: Specification, circuit: Circuit, n: int,
                 {"gate": gate_id, "status": "skipped", "mutation": m.describe()})
             report.skipped.append(gate_id)
             continue
-        trace = find_counterexample(u, prop, conflict_limit=conflict_limit)
         if trace is None:
             prop.status = STATUS_TRUE
             report.gate_status.append(

@@ -268,12 +268,12 @@ def _compset_gate(args):
         sol = pqe_cegar(problem_from_split(apply_mutation(f, m), original=f),
                         clause_budget=clause_budget,
                         conflict_limit=conflict_limit)
+        if sol.partial:
+            return gate_id, m, sol, None
+        prop = classify_property(f, sol.clauses, provenance=m,
+                                 conflict_limit=conflict_limit)
     except BudgetExceeded:
         return gate_id, m, None, None
-    if sol.partial:
-        return gate_id, m, sol, None
-    prop = classify_property(f, sol.clauses, provenance=m,
-                             conflict_limit=conflict_limit)
     return gate_id, m, sol, prop
 
 

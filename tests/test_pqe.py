@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 
 from falseprops.cnf import clause, encode_circuit, neg, pos
-from falseprops.mutate import apply_mutation, clause_flip, gate_subst, stuck_at
+from falseprops.mutate import (apply_mutation, clause_flip, enumerate_mutations,
+                               gate_subst, stuck_at)
 from falseprops.pqe import (EnumerationBoundExceeded, PqeError, PqeProblem,
                             TruthTable, check_totality, noise_filter,
                             pqe_cegar, pqe_oracle, problem_from_split,
@@ -236,3 +237,174 @@ def test_clause_flip_yields_input_only_clauses():
     assert sol.clauses == (clause(pos(0), pos(2)), clause(pos(1), pos(2)))
     assert not check_totality(split.formula)
     assert verify_solution(p, sol.clauses)
+
+
+# -- expansion miter ------------------------------------------------------------
+
+def miter_rows(p):
+    """Rows over the free variables that the miter admits."""
+    from falseprops.pqe import _expansion_miter
+    from falseprops.sat import Solver
+    miter = _expansion_miter(p)
+    assert miter is not None
+    n, extra = miter
+    s = Solver(n, [p.formula.clauses[i] for i in p.fprime] + extra)
+    return {bits for bits in product((0, 1), repeat=len(p.free))
+            if s.solve([pos(v) if b else neg(v)
+                        for v, b in zip(p.free, bits)]).is_sat}
+
+
+def missing_rows(p):
+    """Rows of ∃F' that ∃F* lacks, by enumeration."""
+    star = qe_enumerate(p.formula, p.quantified).rows
+    prime = qe_enumerate(p.fprime_formula, p.quantified).rows
+    return prime - star
+
+
+def assert_miter_exact(p):
+    # the miter admits exactly the missing rows, and both engines certify
+    missing = missing_rows(p)
+    assert miter_rows(p) == missing
+    sol = pqe_cegar(p)
+    assert verify_solution(p, sol.clauses)
+    assert verify_solution(p, pqe_oracle(p).clauses)
+    # every miter model emits a clause
+    assert sol.stats["iterations"] <= len(missing)
+    return sol
+
+
+def gate_mutations(f, gid):
+    return [m for m in enumerate_mutations(f) if m.target == gid]
+
+
+def test_miter_output_gate():
+    # an output with fanout of its own: the row fixes it, so no copy
+    c = parse_netlist("input a b c; y = AND(a, b); z = OR(y, c); "
+                      "output y z;")
+    f = encode_circuit(c)
+    for gid in (c.id_of["y"], c.id_of["z"]):
+        for m in gate_mutations(f, gid):
+            assert_miter_exact(problem_from_split(apply_mutation(f, m),
+                                                  original=f))
+
+
+def test_miter_reconvergent_fanout_to_several_outputs():
+    c = parse_netlist("input a b c; u = AND(a, b); p = OR(u, c); "
+                      "q = XOR(u, p); r = NAND(u, c); s = AND(q, r); "
+                      "output q r s;")
+    f = encode_circuit(c)
+    for m in gate_mutations(f, c.id_of["u"]):
+        assert_miter_exact(problem_from_split(apply_mutation(f, m),
+                                              original=f))
+
+
+def test_miter_gate_without_path_to_output():
+    seen = 0
+    for seed in range(20):
+        if seen >= 3:
+            break
+        c = random_circuit(random.Random(seed), 3, 6)
+        f = encode_circuit(c)
+        reaches = set(c.outputs)
+        for g in reversed(c.topo_gates):
+            if g.output in reaches:
+                reaches.update(g.fanins)
+        for g in c.gates:
+            if g.output in reaches:
+                continue
+            seen += 1
+            for m in gate_mutations(f, g.output):
+                p = problem_from_split(apply_mutation(f, m), original=f)
+                sol = assert_miter_exact(p)
+                # only a clause flip, which may erase inputs, leaves a trace
+                assert m.kind == "clause-flip" or sol.clauses == ()
+    assert seen
+
+
+def test_miter_clause_flip_keeps_rest_of_group():
+    f = encode_circuit(twogate())
+    for ci in f.group(3):
+        for li in range(len(f.clauses[ci].lits)):
+            split = apply_mutation(f, clause_flip(f, ci, li))
+            rest = [i for i in split.fprime
+                    if split.formula.clauses[i].origin == 3]
+            assert len(rest) == len(f.group(3)) - 1
+            assert_miter_exact(problem_from_split(split, original=f))
+
+
+def test_miter_repeated_fanins_and_constants():
+    c = parse_netlist("input a b; u = XOR(a, a); v = XNOR(b, a, b); "
+                      "k = CONST1(); j = CONST0(); w = AND(u, v, k); "
+                      "t = OR(w, j, a); output w t;")
+    f = encode_circuit(c)
+    for nm in ("u", "v", "k", "j", "w"):
+        for m in gate_mutations(f, c.id_of[nm]):
+            assert_miter_exact(problem_from_split(apply_mutation(f, m),
+                                                  original=f))
+
+
+def test_miter_early_stop(monkeypatch):
+    from falseprops import pqe
+    # a redundant fault: every missing row is one F lacks too, so the
+    # search ends with no trigger after one clause, where F' walks its rows
+    c = parse_netlist("input a b; u = AND(a, b); z = OR(a, u); output z;")
+    f = encode_circuit(c)
+    p = problem_from_split(apply_mutation(f, stuck_at(f, c.id_of["u"], 0)),
+                           original=f)
+    sol = pqe_cegar(p, early_stop=True)
+    assert sol.trigger is None and not sol.partial
+    assert sol.stats["iterations"] == 1
+    assert sol.clauses == (clause(pos(0), neg(3)),)
+    with monkeypatch.context() as mp:
+        mp.setattr(pqe, "_expansion_miter", lambda _p: None)
+        assert pqe_cegar(p, early_stop=True).stats["iterations"] > 1
+    # a detectable fault stops at a clause F does not imply, as on F'
+    rng = random.Random(5)
+    for _ in range(20):
+        c = random_circuit(rng, 3, rng.randrange(2, 7), n_outputs=2)
+        f = encode_circuit(c)
+        for g in c.gates:
+            p = problem_from_split(apply_mutation(f, stuck_at(f, g.output, 1)),
+                                   original=f)
+            got = pqe_cegar(p, early_stop=True)
+            with monkeypatch.context() as mp:
+                mp.setattr(pqe, "_expansion_miter", lambda _p: None)
+                want = pqe_cegar(p, early_stop=True)
+            assert (got.trigger is None) == (want.trigger is None)
+            assert got.stats["iterations"] <= want.stats["iterations"]
+
+
+def test_miter_rejects_a_model_that_fstar_extends():
+    # a formula whose other gate already lost a clause breaks the miter's
+    # premise; the loop raises instead of returning a wrong solution
+    from falseprops.cnf import replace_group
+    c = parse_netlist("input a b c; u = AND(a, b); v = BUF(u); z = OR(v, c); "
+                      "output z;")
+    f = encode_circuit(c)
+    u, v = c.id_of["u"], c.id_of["v"]
+    # without (u ∨ ¬v), v may be 1 while u is 0
+    gone = [i for i in f.group(v) if f.clauses[i] == clause(pos(u), neg(v))]
+    broken = replace_group(f, gone, ()).formula
+    split = apply_mutation(broken, stuck_at(broken, u, 0))
+    with pytest.raises(PqeError, match="miter"):
+        pqe_cegar(problem_from_split(split, original=broken))
+
+
+def test_sequential_and_dimacs_problems_search_fprime():
+    from falseprops.cnf import export_dimacs, import_dimacs
+    from falseprops.pqe import _expansion_miter
+    from falseprops.seq import seq_problem, unroll
+    c = parse_netlist("input en; latch s ns init 0; ns = XOR(en, s); "
+                      "output ns;")
+    u = unroll(c, 2)
+    p = seq_problem(u, stuck_at(u.template, c.id_of["ns"], 0))
+    assert _expansion_miter(p) is None
+    assert verify_solution(p, pqe_cegar(p).clauses)
+    assert verify_solution(p, pqe_oracle(p).clauses)
+    f = import_dimacs(export_dimacs(encode_circuit(twogate())))
+    assert f.groups and f.gate_table is None
+    for ci in range(len(f.clauses)):
+        p = problem_from_split(apply_mutation(f, clause_flip(f, ci, 0)))
+        assert _expansion_miter(p) is None
+        assert verify_solution(p, pqe_cegar(p).clauses)
+        assert verify_solution(p, pqe_oracle(p).clauses)

@@ -9,7 +9,7 @@ from falseprops.mutate import stuck_at
 from falseprops.netlist import parse_netlist, simulate
 from falseprops.pqe import pqe_cegar, qe_enumerate, verify_solution
 from falseprops.randcirc import random_mutation, random_sequential
-from falseprops.sat import solve
+from falseprops.sat import BudgetExceeded, solve
 from falseprops.seq import (SeqError, false_safety_prop, find_counterexample,
                             format_trace, reach_oracle, seq_compset,
                             seq_problem, unroll)
@@ -300,6 +300,26 @@ def test_seq_compset_budget_skips():
     rep = seq_compset(Specification(), toggle(), 1, conflict_limit=0)
     assert rep.skipped == [2]
     assert rep.gate_status[0]["status"] == "skipped"
+
+
+def test_seq_compset_counterexample_budget_skips():
+    # the safety property for g1 stuck-at-0 fits in one conflict per
+    # solve; searching its counterexample does not, and the gate is skipped
+    c = parse_netlist("input x0 x1; output g3; latch q0 g2 init 1; "
+                      "g3 = XNOR(x0, x1); g0 = AND(x0, x1); g1 = OR(g0, x0); "
+                      "g2 = AND(q0, g1);")
+    u = unroll(c, 2)
+    g1 = c.id_of["g1"]
+    prop, sol = false_safety_prop(u, stuck_at(u.template, g1, 0),
+                                  conflict_limit=1)
+    assert not sol.partial
+    with pytest.raises(BudgetExceeded):
+        find_counterexample(u, prop, conflict_limit=1)
+    rep = seq_compset(Specification(), c, 2, policy="stuck-at",
+                      conflict_limit=1)
+    assert g1 in rep.skipped
+    status = {r["gate"]: r["status"] for r in rep.gate_status}
+    assert status[g1] == "skipped"
 
 
 def test_seq_compset_json_shape():

@@ -7,6 +7,7 @@ from falseprops.mutate import apply_mutation, stuck_at
 from falseprops.netlist import parse_netlist
 from falseprops.pqe import pqe_cegar, problem_from_split
 from falseprops.randcirc import random_circuit
+from falseprops.sat import BudgetExceeded
 from falseprops.verify import (STATUS_FALSE, STATUS_TRUE, Specification,
                                VerifyError, atpg_stuck_at, classify_property,
                                cleanup_clauses, compset, joint_test,
@@ -199,6 +200,25 @@ def test_compset_budget_skips_gate():
     assert rep.skipped == [3, 4]
     assert [r["status"] for r in rep.gate_status] == ["skipped", "skipped"]
     assert not rep.false_props
+
+
+def test_compset_classify_budget_skips_gate():
+    # PQE for the stuck output fits in one conflict per solve; classifying
+    # its property does not, and that gate is skipped, not a crashed run
+    c = parse_netlist("input x0 x1 x2; g0 = XOR(x0, x2); g1 = XOR(x2, g0); "
+                      "output g1;")
+    f = encode_circuit(c)
+    g1 = c.id_of["g1"]
+    m = policy_mutation(f, g1, "stuck-at")
+    sol = pqe_cegar(problem_from_split(apply_mutation(f, m), original=f),
+                    conflict_limit=1)
+    assert not sol.partial
+    with pytest.raises(BudgetExceeded):
+        classify_property(f, sol.clauses, m, conflict_limit=1)
+    rep = compset(Specification(), c, policy="stuck-at", conflict_limit=1)
+    assert g1 in rep.skipped
+    status = {r["gate"]: r["status"] for r in rep.gate_status}
+    assert status[g1] == "skipped"
 
 
 def test_compset_rejects_sequential():
