@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -159,8 +159,14 @@ def formula(clauses: Iterable[Clause], num_vars: Optional[int] = None,
 # ---------------------------------------------------------------------------
 # gate encodings
 
+@lru_cache(maxsize=512)
 def encode_gate(g: Gate) -> tuple[Clause, ...]:
-    """Clause group satisfied exactly by the gate's consistent assignments."""
+    """Clause group satisfied exactly by the gate's consistent assignments.
+
+    Equal gates share one cached group, so re-encoding a circuit is cheap
+    and a group that nothing replaced compares equal to its gate's encoding
+    by identity, clause for clause.
+    """
     o = g.output
     ins = g.fanins
     kind = g.kind

@@ -11,15 +11,17 @@ enumeration, exponential in the free variables, trusted) and a CEGAR loop
 
 The CEGAR search runs over one of two formulas.  For a single-gate
 combinational mutation (every variable an input, internal or output, G*
-owned by one gate y of the formula's gate table) it is an expansion
-miter whose every model is a row that ∃F* lacks: with L* the clauses of
-y's group in F* and every other gate a function of its fanins, a row is
-missing exactly when neither value of the single bit y satisfies L* and
+owned by one gate y of the formula's gate table, every other gate's
+clauses in F' exactly its own encoding) it is an expansion miter whose
+every model is a row that ∃F* lacks: with L* the clauses of y's group in
+F* and every other gate a function of its fanins, a row is missing
+exactly when neither value of the single bit y satisfies L* and
 reproduces the outputs, and that "for all" over one bit expands into one
 SAT query (universal expansion, Biere, "Resolve and Expand", SAT 2004;
 the classic ATPG miter of Larrabee, IEEE TCAD 1992, over a relational
 mutation).  Every other problem (sequential unrollings, DIMACS imports,
-flips of unowned clauses) searches F' and blocks each row F* extends.
+flips of unowned clauses, formulas where some other gate's group was
+already changed) searches F' and blocks each row F* extends.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import chain, product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cnf import (Clause, CnfFormula, GroupSplit, Lit, ROLE_INPUT,
-                  ROLE_INTERNAL, ROLE_OUTPUT, clause)
+                  ROLE_INTERNAL, ROLE_OUTPUT, clause, encode_gate)
 from .sat import Solver, implies, solver_for
 
 ENUM_BOUND_DEFAULT = 20
@@ -203,6 +205,9 @@ def _expansion_miter(problem: PqeProblem
                      ) -> Optional[tuple[int, list[list[Lit]]]]:
     """Variable count and clauses that turn F' into the expansion miter, or
     None when the problem is not a single-gate combinational mutation.
+    The miter is exact only if every gate but y is a function of its
+    fanins, so each such gate's F' clauses must equal its encoding; a
+    formula mutated before (say, a clause flip, then a stuck-at) gets None.
 
     L* is G* plus the clauses of y's group that stayed in F' (a clause flip
     replaces one clause only).  If y is an output the row fixes it, and the
@@ -225,8 +230,18 @@ def _expansion_miter(problem: PqeProblem
     if not isinstance(y, int) or y not in table:
         return None
     fprime = [f.clauses[i] for i in problem.fprime]
-    if problem.quantified != frozenset(vm.with_role(ROLE_INTERNAL)) or \
-            not all(c.origin in table for c in fprime):
+    if problem.quantified != frozenset(vm.with_role(ROLE_INTERNAL)):
+        return None
+    owned: dict[object, list[Clause]] = {}
+    for c in fprime:
+        if c.origin != y:
+            owned.setdefault(c.origin, []).append(c)
+    # every F' clause belongs to a gate, and every gate but y keeps exactly
+    # its own encoding, in order (encode_circuit and replace_group keep it;
+    # a reordered group only loses the miter)
+    if not set(owned) <= set(table) or \
+            any(tuple(owned.get(g, ())) != encode_gate(gt)
+                for g, gt in table.items() if g != y):
         return None
     lstar = [f.clauses[i] for i in problem.gstar] + \
         [c for c in fprime if c.origin == y]

@@ -374,20 +374,66 @@ def test_miter_early_stop(monkeypatch):
             assert got.stats["iterations"] <= want.stats["iterations"]
 
 
-def test_miter_rejects_a_model_that_fstar_extends():
-    # a formula whose other gate already lost a clause breaks the miter's
-    # premise; the loop raises instead of returning a wrong solution
+def test_miter_skips_a_formula_whose_other_gate_lost_a_clause():
+    # without (u ∨ ¬v), v may be 1 while u is 0: v is no longer a function
+    # of its fanin, so the miter's premise fails and the F' search runs
     from falseprops.cnf import replace_group
+    from falseprops.pqe import _expansion_miter
     c = parse_netlist("input a b c; u = AND(a, b); v = BUF(u); z = OR(v, c); "
                       "output z;")
     f = encode_circuit(c)
     u, v = c.id_of["u"], c.id_of["v"]
-    # without (u ∨ ¬v), v may be 1 while u is 0
     gone = [i for i in f.group(v) if f.clauses[i] == clause(pos(u), neg(v))]
     broken = replace_group(f, gone, ()).formula
-    split = apply_mutation(broken, stuck_at(broken, u, 0))
+    p = problem_from_split(apply_mutation(broken, stuck_at(broken, u, 0)),
+                           original=broken)
+    assert _expansion_miter(p) is None
+    q = pqe_cegar(p).clauses
+    assert verify_solution(p, q)
+    assert verify_solution(p, pqe_oracle(p).clauses)
+
+
+def test_miter_skips_a_formula_whose_other_gate_has_a_flipped_clause():
+    # flip g's clause (y ∨ ¬g) to (¬y ∨ ¬g), then freeze y at 1: every row
+    # with c = 1 leaves g without a value in F*, while F' still has it
+    from falseprops.pqe import _expansion_miter
+    c = parse_netlist("input a c; y = BUF(a); g = AND(y, c); output g;")
+    f = encode_circuit(c)
+    y, g = c.id_of["y"], c.id_of["g"]
+    (ci,) = [i for i in f.group(g) if f.clauses[i] == clause(pos(y), neg(g))]
+    flipped = apply_mutation(f, clause_flip(f, ci, 0)).formula
+    p = problem_from_split(apply_mutation(flipped, stuck_at(flipped, y, 1)),
+                           original=flipped)
+    assert _expansion_miter(p) is None
+    q = pqe_cegar(p).clauses
+    assert q
+    assert verify_solution(p, q)
+    assert verify_solution(p, pqe_oracle(p).clauses)
+
+
+def test_cegar_on_stacked_mutations():
+    # mutating an already mutated formula leaves other gates relational;
+    # whichever search runs, the answer must hold
+    rng = random.Random(11)
+    for _ in range(150):
+        c = random_circuit(rng, rng.randint(2, 4), rng.randint(2, 6),
+                           n_outputs=rng.randint(1, 3))
+        f = encode_circuit(c)
+        for _ in range(rng.randint(1, 2)):
+            f = apply_mutation(f, random_mutation(rng, f)).formula
+        p = problem_from_split(apply_mutation(f, random_mutation(rng, f)),
+                               original=f)
+        assert verify_solution(p, pqe_cegar(p).clauses)
+
+
+def test_cegar_raises_if_fstar_extends_a_miter_model(monkeypatch):
+    # a search formula with rows F* extends stands in for a wrong miter
+    import falseprops.pqe as pqe_mod
+    p = and_stuck0_problem()
+    monkeypatch.setattr(pqe_mod, "_expansion_miter",
+                        lambda problem: (problem.formula.num_vars, []))
     with pytest.raises(PqeError, match="miter"):
-        pqe_cegar(problem_from_split(split, original=broken))
+        pqe_cegar(p)
 
 
 def test_sequential_and_dimacs_problems_search_fprime():
