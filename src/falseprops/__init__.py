@@ -8,17 +8,17 @@ yields a structurally complete false-property set.
 """
 
 from .netlist import (Circuit, Gate, Latch, NetlistError, ParseError,
-                      GATE_KINDS, emit_netlist, eval_gate, evaluate,
-                      parse_netlist, simulate)
+                      GATE_KINDS, emit_netlist, eval_gate, parse_netlist,
+                      simulate)
 from .cnf import (Clause, CnfError, CnfFormula, GroupSplit, Lit, VarMap,
                   clause, encode_circuit, encode_gate, export_dimacs,
-                  formula, import_dimacs, neg, pos, replace_group)
+                  formula, neg, pos, replace_group)
 from .sat import (SAT, UNSAT, BudgetExceeded, SatResult, Solver,
                   break_implication, implies, solve, solver_for)
 from .pqe import (ENUM_BOUND_DEFAULT, EnumerationBoundExceeded, PqeError,
-                  PqeProblem, PqeSolution, TruthTable, check_totality,
-                  noise_filter, pqe_cegar, pqe_oracle, problem_from_split,
-                  qe_enumerate, verify_solution)
+                  PqeProblem, PqeSolution, TruthTable, noise_filter,
+                  pqe_cegar, pqe_oracle, problem_from_split, qe_enumerate,
+                  verify_solution)
 from .mutate import (Mutation, MutationError, POLICIES, apply_mutation,
                      clause_flip, enumerate_mutations, gate_subst, stuck_at,
                      substitution_kinds)
@@ -28,7 +28,7 @@ from .verify import (CompsetReport, NamedProperty, Property, Specification,
 from .seq import (CexTrace, ReachSet, SeqCompsetReport, SeqError, UnrolledCnf,
                   false_safety_prop, find_counterexample, format_trace,
                   reach_oracle, seq_compset, unroll)
-from .randcirc import random_circuit, random_cnf, random_sequential
+from .randcirc import random_circuit, random_sequential
 from .selftest import run_selftest
 
 __version__ = "0.1.0"

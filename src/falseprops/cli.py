@@ -153,7 +153,7 @@ def _cmd_compset(args) -> int:
     report = compset(spec, c, policy=args.policy,
                      continue_after_bug=args.continue_after_bug,
                      clause_budget=args.clause_budget,
-                     conflict_limit=args.conflict_limit, jobs=args.jobs)
+                     conflict_limit=args.conflict_limit)
     _emit_json(report.to_json(), args.out)
     print(f"{len(report.gates_processed)} gates, "
           f"{len(report.false_props)} false properties, "
@@ -210,9 +210,9 @@ def _cmd_seq_compset(args) -> int:
                          conflict_limit=args.conflict_limit)
     _emit_json(report.to_json(), args.out)
     for b in report.bugs:
-        print(f"bug ({b['kind']}: {b['detail']}) via gate "
-              f"{c.names[b['gate']]}:", file=sys.stderr)
-        print(format_trace(b["trace"], c), file=sys.stderr)
+        print(f"bug ({b.kind}: {b.detail}) via gate {c.names[b.gate]}:",
+              file=sys.stderr)
+        print(format_trace(b.test, c), file=sys.stderr)
     if report.bugs:
         return EXIT_BUG
     if report.skipped:
@@ -249,6 +249,18 @@ def _add_common(p, netlist=True):
     p.add_argument("--out", "-o", help="write the report here instead of stdout")
 
 
+def _add_budgets(p, clause_budget=True):
+    if clause_budget:
+        p.add_argument("--clause-budget", type=int,
+                       help="stop PQE once it has emitted this many clauses; "
+                            "an unfinished answer is partial and its gate "
+                            "skipped")
+    p.add_argument("--conflict-limit", type=int,
+                   help="conflicts allowed in each SAT call (the count "
+                        "restarts per call, so it does not bound a gate's "
+                        "total work)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="falseprops",
@@ -278,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("cegar", "oracle"), default="cegar")
     p.add_argument("--early-stop", action="store_true",
                    help="stop at the first clause the circuit fails to imply")
-    p.add_argument("--clause-budget", type=int)
-    p.add_argument("--conflict-limit", type=int)
+    _add_budgets(p)
     p.add_argument("--oracle-check", action="store_true",
                    help="re-verify the solution by enumeration")
     p.set_defaults(fn=_cmd_pqe)
@@ -293,9 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phrd", help="JSON file with properties that must hold")
     p.add_argument("--golden", help="golden-model netlist to compare against")
     p.add_argument("--continue-after-bug", action="store_true")
-    p.add_argument("--clause-budget", type=int)
-    p.add_argument("--conflict-limit", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    _add_budgets(p)
     p.set_defaults(fn=_cmd_compset)
 
     p = sub.add_parser("atpg", help="stuck-at test generation")
@@ -303,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate", help="gate output pin name")
     p.add_argument("--sa", type=int, choices=(0, 1), help="stuck-at value")
     p.add_argument("--all-faults", action="store_true")
-    p.add_argument("--conflict-limit", type=int)
+    _add_budgets(p, clause_budget=False)
     p.set_defaults(fn=_cmd_atpg)
 
     p = sub.add_parser("unroll", help="time-frame expansion -> DIMACS")
@@ -323,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phrd", help="JSON property file over state pins")
     p.add_argument("--golden", help="golden-model netlist")
     p.add_argument("--continue-after-bug", action="store_true")
-    p.add_argument("--clause-budget", type=int)
-    p.add_argument("--conflict-limit", type=int)
+    _add_budgets(p)
     p.set_defaults(fn=_cmd_seq_compset)
 
     p = sub.add_parser("reach", help="explicit-state reachability and diameter")

@@ -1,4 +1,4 @@
-"""CNF encodings of circuits, clause groups, and DIMACS I/O.
+"""CNF encodings of circuits, clause groups, and DIMACS export.
 
 Every circuit variable becomes one CNF variable (same id).  Each gate
 contributes a clause group that is satisfied exactly by the assignments
@@ -8,7 +8,6 @@ so they can be swapped out for mutated versions.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
@@ -291,57 +290,3 @@ def export_dimacs(f: CnfFormula) -> str:
         lines.append(" ".join(str(-(l.var + 1) if l.neg else l.var + 1)
                               for l in cl.lits) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def import_dimacs(text: str) -> CnfFormula:
-    roles: dict[int, str] = {}
-    group_lines: list[tuple[int, tuple[int, ...]]] = []
-    clauses: list[Clause] = []
-    num_vars = None
-    num_clauses = None
-    for ln_no, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.strip()
-        if not ln:
-            continue
-        if ln.startswith("c"):
-            parts = ln.split()
-            if len(parts) >= 3 and parts[1] == "role":
-                role = parts[2]
-                if role not in ROLES:
-                    raise CnfError(f"line {ln_no}: unknown role {role!r}")
-                for t in parts[3:]:
-                    roles[int(t) - 1] = role
-            elif len(parts) >= 3 and parts[1] == "group":
-                gid = int(parts[2])
-                group_lines.append((gid, tuple(int(t) for t in parts[3:])))
-            continue
-        if ln.startswith("p"):
-            m = re.fullmatch(r"p\s+cnf\s+(\d+)\s+(\d+)", ln)
-            if m is None:
-                raise CnfError(f"line {ln_no}: malformed problem line {ln!r}")
-            num_vars, num_clauses = int(m.group(1)), int(m.group(2))
-            continue
-        if num_vars is None:
-            raise CnfError(f"line {ln_no}: clause before problem line")
-        toks = ln.split()
-        if toks[-1] != "0":
-            raise CnfError(f"line {ln_no}: clause not terminated by 0")
-        lits = []
-        for t in toks[:-1]:
-            v = int(t)
-            if v == 0 or abs(v) > num_vars:
-                raise CnfError(f"line {ln_no}: literal {v} out of range")
-            lits.append(Lit(abs(v) - 1, v < 0))
-        clauses.append(clause(*lits))
-    if num_vars is None:
-        raise CnfError("missing problem line")
-    if num_clauses != len(clauses):
-        raise CnfError(f"problem line promises {num_clauses} clauses, got {len(clauses)}")
-    role_arr = tuple(roles.get(v, ROLE_INTERNAL) for v in range(num_vars))
-    tagged = list(clauses)
-    for gid, ix in group_lines:
-        for i in ix:
-            if not 0 <= i < len(tagged):
-                raise CnfError(f"group {gid}: clause index {i} out of range")
-            tagged[i] = Clause(tagged[i].lits, gid)
-    return CnfFormula(tuple(tagged), VarMap(role_arr))

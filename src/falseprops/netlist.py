@@ -177,7 +177,7 @@ class Circuit:
         self.topo_gates  # raises on cycles
 
 
-def evaluate(c: Circuit, x: Mapping[int, int],
+def _evaluate(c: Circuit, x: Mapping[int, int],
              s: Optional[Mapping[int, int]] = None) -> dict[int, int]:
     """Total valuation of every circuit variable under inputs x and state s."""
     val: dict[int, int] = {}
@@ -202,7 +202,7 @@ def simulate(c: Circuit, x: Mapping[int, int],
     Returns (outputs, next_state); next_state is None for combinational
     circuits.  Keys are variable ids.
     """
-    val = evaluate(c, x, s)
+    val = _evaluate(c, x, s)
     z = {v: val[v] for v in c.outputs}
     nxt = {lt.present: val[lt.next] for lt in c.latches} if c.latches else None
     return z, nxt

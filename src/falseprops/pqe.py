@@ -19,9 +19,9 @@ exactly when neither value of the single bit y satisfies L* and
 reproduces the outputs, and that "for all" over one bit expands into one
 SAT query (universal expansion, Biere, "Resolve and Expand", SAT 2004;
 the classic ATPG miter of Larrabee, IEEE TCAD 1992, over a relational
-mutation).  Every other problem (sequential unrollings, DIMACS imports,
-flips of unowned clauses, formulas where some other gate's group was
-already changed) searches F' and blocks each row F* extends.
+mutation).  Every other problem (sequential unrollings, formulas without a
+gate table, flips of unowned clauses, formulas where some other gate's
+group was already changed) searches F' and blocks each row F* extends.
 """
 
 from __future__ import annotations
@@ -53,14 +53,6 @@ class TruthTable:
 
     def __contains__(self, row: tuple[int, ...]) -> bool:
         return row in self.rows
-
-    def is_functional(self, n_domain: int) -> bool:
-        """Exactly one completion per assignment of the first n_domain vars."""
-        per: dict[tuple[int, ...], int] = {}
-        for r in self.rows:
-            k = r[:n_domain]
-            per[k] = per.get(k, 0) + 1
-        return len(per) == 1 << n_domain and all(c == 1 for c in per.values())
 
 
 @dataclass(frozen=True)
@@ -369,23 +361,3 @@ def pqe_cegar(problem: PqeProblem, early_stop: bool = False,
              "clauses": len(filtered)}
     return PqeSolution(tuple(filtered), certificate_checked=False,
                        partial=partial, trigger=trigger, stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# totality
-
-def check_totality(fstar: CnfFormula, bound: int = ENUM_BOUND_DEFAULT) -> bool:
-    """True iff every input assignment extends to a model of F*.
-
-    A mutation that breaks totality yields properties with input-only
-    clauses, which rule out inputs rather than input/output behavior.
-    """
-    xs = fstar.varmap.with_role(ROLE_INPUT)
-    if len(xs) > bound:
-        raise EnumerationBoundExceeded(
-            f"{len(xs)} inputs exceed the enumeration bound {bound}")
-    solver = solver_for(fstar)
-    for bits in product((0, 1), repeat=len(xs)):
-        if not solver.solve(_row_assumptions(xs, bits)).is_sat:
-            return False
-    return True

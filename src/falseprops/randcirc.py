@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .cnf import CnfFormula, Lit, clause, formula
+from .cnf import CnfFormula
 from .netlist import Circuit, Gate, Latch
 from . import mutate
 
@@ -73,19 +73,15 @@ def random_sequential(rng: random.Random, n_inputs: int, n_gates: int,
                    tuple(gates), tuple(names))
 
 
-def random_cnf(rng: random.Random, n_vars: int, n_clauses: int,
-               width: int = 3) -> CnfFormula:
-    cls = []
-    for _ in range(n_clauses):
-        vs = rng.sample(range(n_vars), min(width, n_vars))
-        cls.append(clause(*[Lit(v, rng.random() < 0.5) for v in vs]))
-    return formula(cls, num_vars=n_vars)
-
-
 def random_mutation(rng: random.Random, f: CnfFormula,
                     kinds: Sequence[str] = ("gate-subst", "stuck-at", "clause-flip"),
                     ) -> mutate.Mutation:
-    """One random non-identity mutation of an encoded circuit."""
+    """One random non-identity mutation of an encoded circuit.
+
+    A gate-subst picks a kind other than the gate table's, but after an
+    earlier mutation the table can describe a group that is no longer
+    there, so every candidate is checked for identity.
+    """
     while True:
         kind = rng.choice(kinds)
         if kind == "clause-flip":
@@ -95,11 +91,11 @@ def random_mutation(rng: random.Random, f: CnfFormula,
         gid = rng.choice(sorted(f.groups))
         if kind == "stuck-at":
             m = mutate.stuck_at(f, gid, rng.choice((0, 1)))
-            if not m.identity:
-                return m
-            continue
-        g = f.gate_table[gid]
-        alts = [k for k in mutate.substitution_kinds(g) if k != g.kind]
-        if not alts:
-            continue
-        return mutate.gate_subst(f, gid, rng.choice(alts))
+        else:
+            g = f.gate_table[gid]
+            alts = [k for k in mutate.substitution_kinds(g) if k != g.kind]
+            if not alts:
+                continue
+            m = mutate.gate_subst(f, gid, rng.choice(alts))
+        if not m.identity:
+            return m

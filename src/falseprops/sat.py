@@ -320,11 +320,13 @@ def implies(f: CnfFormula, c: Clause,
 
 def break_implication(f: CnfFormula, q: Iterable[Clause],
                       conflict_limit: Optional[int] = None
-                      ) -> Optional[dict[int, int]]:
-    """A model of f falsifying some clause of q, scanning clauses in order."""
+                      ) -> Optional[tuple[int, dict[int, int]]]:
+    """The first clause of q that f fails to imply, as (its index in q, a
+    model of f falsifying it), scanning in order on one solver; None if f
+    implies every clause."""
     s = solver_for(f, conflict_limit)
-    for c in q:
+    for i, c in enumerate(q):
         res = s.solve([-l for l in c.lits])
         if res.is_sat:
-            return res.model
+            return i, res.model
     return None

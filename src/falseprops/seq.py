@@ -10,6 +10,7 @@ S_{n+1} away turns a gate mutation into a property over the final state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Mapping, Optional, Sequence
 
@@ -19,11 +20,10 @@ from .cnf import (Clause, CnfFormula, Lit, ROLE_INPUT, ROLE_INTERNAL,
 from .mutate import Mutation
 from .netlist import Circuit, simulate
 from .pqe import PqeProblem, PqeSolution, pqe_cegar, pqe_oracle
-from .sat import BudgetExceeded, solver_for
-from .verify import (Property, Specification,
+from .sat import break_implication
+from .verify import (BugRecord, Property, Specification,
                      STATUS_FALSE, STATUS_TRUE, STATUS_UNKNOWN, VerifyError,
-                     _falsified_named, cleanup_clauses, policy_mutation,
-                     _POLICY_ALIASES)
+                     _bug_check, _each_gate, cleanup_clauses, _POLICY_ALIASES)
 
 
 class SeqError(Exception):
@@ -212,17 +212,18 @@ def find_counterexample(u: UnrolledCnf, prop: Property,
     fwd = {lt.present: u.final_states[k]
            for k, lt in enumerate(u.circuit.latches)}
     kept = cleanup_clauses(prop.clauses)
-    s = solver_for(u.formula, conflict_limit)
-    for i, cl in enumerate(kept):
-        for l in cl.lits:
-            if l.var not in fwd:
-                raise SeqError(f"property clause {cl!r} mentions a non-state variable")
-        res = s.solve([Lit(fwd[l.var], not l.neg) for l in cl.lits])
-        if res.is_sat:
-            trace = _decode_trace(u, res.model, prop, i)
-            _replay_check(u.circuit, trace)
-            return trace
-    return None
+    for cl in kept:
+        if any(l.var not in fwd for l in cl.lits):
+            raise SeqError(f"property clause {cl!r} mentions a non-state variable")
+    finals = [Clause(tuple(Lit(fwd[l.var], l.neg) for l in cl.lits))
+              for cl in kept]
+    hit = break_implication(u.formula, finals, conflict_limit)
+    if hit is None:
+        return None
+    i, model = hit
+    trace = _decode_trace(u, model, prop, i)
+    _replay_check(u.circuit, trace)
+    return trace
 
 
 def _decode_trace(u: UnrolledCnf, model: Mapping[int, int], prop: Property,
@@ -266,9 +267,6 @@ class ReachSet:
     frames: tuple[frozenset[tuple[int, ...]], ...]  # E_k: states after exactly k steps
     reachable: frozenset[tuple[int, ...]]
     diameter: int
-
-    def state_bits(self) -> int:
-        return len(next(iter(self.reachable))) if self.reachable else 0
 
 
 def reach_oracle(c: Circuit, max_states: int = MAX_STATES_DEFAULT,
@@ -335,7 +333,7 @@ class SeqCompsetReport:
     gate_status: list[dict] = field(default_factory=list)
     false_props: list[Property] = field(default_factory=list)
     traces: list[CexTrace] = field(default_factory=list)
-    bugs: list[dict] = field(default_factory=list)
+    bugs: list[BugRecord] = field(default_factory=list)
     skipped: list[int] = field(default_factory=list)
 
     @property
@@ -344,7 +342,7 @@ class SeqCompsetReport:
 
     @property
     def bug_trace(self) -> Optional[CexTrace]:
-        return self.bugs[0]["trace"] if self.bugs else None
+        return self.bugs[0].test if self.bugs else None
 
     def to_json(self) -> dict:
         names = self.circuit.names
@@ -355,9 +353,8 @@ class SeqCompsetReport:
             "gates": [dict(r, gate=names[r["gate"]]) for r in self.gate_status],
             "false_properties": [p.to_json(names) for p in self.false_props],
             "traces": [t.to_json(self.circuit) for t in self.traces],
-            "bugs": [{"kind": b["kind"], "detail": b["detail"],
-                      "gate": names[b["gate"]],
-                      "trace": b["trace"].to_json(self.circuit)} for b in self.bugs],
+            "bugs": [{"kind": b.kind, "detail": b.detail, "gate": names[b.gate],
+                      "trace": b.test.to_json(self.circuit)} for b in self.bugs],
             "skipped": [names[g] for g in self.skipped],
         }
 
@@ -399,58 +396,25 @@ def seq_compset(spec: Specification, circuit: Circuit, n: int,
                 or len(golden.latches) != len(circuit.latches)):
             raise VerifyError("golden model signature mismatch")
     u = unroll(circuit, n)
-    policy = _POLICY_ALIASES.get(policy, policy)
     states = frozenset(lt.present for lt in circuit.latches)
     for hp in spec.hard:
         for cl in hp.clauses:
             if not cl.vars <= states:
                 raise VerifyError(f"hard property {hp.name!r} must be over state pins")
-    report = SeqCompsetReport(circuit, policy, n)
-    seen = set()
-    for gate_id in sorted(u.template.groups):
-        m = policy_mutation(u.template, gate_id, policy)
-        try:
-            prop, sol = false_safety_prop(u, m, frame=frame, replicate=replicate,
-                                          clause_budget=clause_budget,
-                                          conflict_limit=conflict_limit)
-            if not sol.partial:
-                trace = find_counterexample(u, prop,
-                                            conflict_limit=conflict_limit)
-        except BudgetExceeded:
-            sol = None
-        if sol is None or sol.partial:
-            report.gate_status.append(
-                {"gate": gate_id, "status": "skipped", "mutation": m.describe()})
-            report.skipped.append(gate_id)
-            continue
-        if trace is None:
-            prop.status = STATUS_TRUE
-            report.gate_status.append(
-                {"gate": gate_id, "status": "true-prop", "mutation": m.describe()})
-            continue
-        prop.status = STATUS_FALSE
-        report.gate_status.append(
-            {"gate": gate_id, "status": "false-prop", "mutation": m.describe(),
-             "property": len(report.false_props)})
-        report.false_props.append(prop)
-        final = trace.states[-1]
-        bug = None
-        for hp in spec.hard:
-            if _falsified_named(hp, final):
-                bug = {"kind": "hard-property", "detail": hp.name,
-                       "gate": gate_id, "trace": trace}
-                break
-        if bug is None and golden is not None and \
-                _seq_golden_disagrees(circuit, golden, trace):
-            bug = {"kind": "golden", "detail": "output mismatch", "gate": gate_id,
-                   "trace": trace}
-        if bug is not None:
-            report.bugs.append(bug)
-            if not continue_after_bug:
-                break
-            continue
-        key = trace.input_key()
-        if key not in seen:
-            seen.add(key)
-            report.traces.append(trace)
+
+    def judge(m: Mutation):
+        prop, sol = false_safety_prop(u, m, frame=frame, replicate=replicate,
+                                      clause_budget=clause_budget,
+                                      conflict_limit=conflict_limit)
+        if sol.partial:
+            return None
+        trace = find_counterexample(u, prop, conflict_limit=conflict_limit)
+        prop.status = STATUS_TRUE if trace is None else STATUS_FALSE
+        return prop, trace
+
+    report = SeqCompsetReport(circuit, _POLICY_ALIASES.get(policy, policy), n)
+    bug_of = _bug_check(spec, lambda trace: trace.states[-1],
+                        partial(_seq_golden_disagrees, circuit))
+    _each_gate(report, u.template, judge, bug_of, report.traces,
+               continue_after_bug)
     return report

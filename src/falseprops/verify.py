@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import partial
+from typing import (TYPE_CHECKING, Iterable, Mapping, Optional, Sequence,
+                    Union)
 
 from .cnf import (Clause, CnfFormula, Lit, ROLE_INPUT, ROLE_OUTPUT, clause,
                   encode_circuit)
 from .mutate import Mutation, apply_mutation, clause_flip, gate_subst, stuck_at, substitution_kinds
 from .netlist import Circuit, simulate
 from .pqe import problem_from_split, pqe_cegar
-from .sat import BudgetExceeded, solve, solver_for
+from .sat import BudgetExceeded, break_implication, solve, solver_for
+
+if TYPE_CHECKING:
+    from .seq import CexTrace
 
 STATUS_TRUE = "true"
 STATUS_FALSE = "false"
@@ -106,24 +111,15 @@ def classify_property(f: CnfFormula, clauses: Iterable[Clause],
             spurious.append(c)
         else:
             kept.append(c)
-    s = solver_for(f, conflict_limit)
-    for i, c in enumerate(kept):
-        res = s.solve([-l for l in c.lits])
-        if res.is_sat:
-            tv = TestVector({v: res.model[v] for v in sorted(xs)},
-                            {v: res.model[v] for v in sorted(zs)},
-                            broken_clause=i)
-            return Property(tuple(kept), STATUS_FALSE, provenance, tv,
-                            tuple(spurious))
-    for c in spurious:
-        res = s.solve([-l for l in c.lits])
-        if res.is_sat:
-            tv = TestVector({v: res.model[v] for v in sorted(xs)},
-                            {v: res.model[v] for v in sorted(zs)},
-                            broken_clause=None)
-            return Property(tuple(kept), STATUS_FALSE, provenance, tv,
-                            tuple(spurious))
-    return Property(tuple(kept), STATUS_TRUE, provenance, None, tuple(spurious))
+    hit = break_implication(f, kept + spurious, conflict_limit)
+    if hit is None:
+        return Property(tuple(kept), STATUS_TRUE, provenance, None,
+                        tuple(spurious))
+    i, model = hit
+    tv = TestVector({v: model[v] for v in sorted(xs)},
+                    {v: model[v] for v in sorted(zs)},
+                    broken_clause=i if i < len(kept) else None)
+    return Property(tuple(kept), STATUS_FALSE, provenance, tv, tuple(spurious))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +204,7 @@ class BugRecord:
     kind: str                   # "hard-property" | "golden"
     detail: str
     gate: int
-    test: TestVector
+    test: Union[TestVector, CexTrace]   # a CexTrace in seq_compset reports
 
 
 @dataclass
@@ -261,27 +257,67 @@ def _golden_disagrees(c: Circuit, golden: Circuit, tv: TestVector) -> bool:
     return False
 
 
-def _compset_gate(args):
-    f, gate_id, policy, clause_budget, conflict_limit = args
-    m = policy_mutation(f, gate_id, policy)
-    try:
-        sol = pqe_cegar(problem_from_split(apply_mutation(f, m), original=f),
-                        clause_budget=clause_budget,
-                        conflict_limit=conflict_limit)
-        if sol.partial:
-            return gate_id, m, sol, None
-        prop = classify_property(f, sol.clauses, provenance=m,
-                                 conflict_limit=conflict_limit)
-    except BudgetExceeded:
-        return gate_id, m, None, None
-    return gate_id, m, sol, prop
+def _bug_check(spec: Specification, env_of, golden_disagrees):
+    """The bug_of of _each_gate: a test is a bug when the behavior env_of
+    reads from it falsifies a required property, or when
+    golden_disagrees(golden, test) finds the golden model behaving
+    differently."""
+    def bug_of(gate_id: int, test) -> Optional[BugRecord]:
+        env = env_of(test)
+        for hp in spec.hard:
+            if _falsified_named(hp, env):
+                return BugRecord("hard-property", hp.name, gate_id, test)
+        if spec.golden is not None and golden_disagrees(spec.golden, test):
+            return BugRecord("golden", "output mismatch", gate_id, test)
+        return None
+    return bug_of
+
+
+def _each_gate(report, f: CnfFormula, judge, bug_of, found: list,
+               continue_after_bug: bool) -> None:
+    """The per-gate loop of compset and seq_compset.
+
+    Every gate of f gets its policy mutation m, and judge(m) returns None
+    when the PQE solution is partial, else the property and its test (None
+    when the property holds).  A gate whose budget runs out is skipped.
+    Each false property's test is either a bug, which ends the loop unless
+    continue_after_bug, or a new test appended to found unless an earlier
+    one has the same inputs.
+    """
+    seen: set = set()
+    for gate_id in sorted(f.groups):
+        m = policy_mutation(f, gate_id, report.policy)
+        try:
+            verdict = judge(m)
+        except BudgetExceeded:
+            verdict = None
+        row = {"gate": gate_id, "status": "skipped", "mutation": m.describe()}
+        report.gate_status.append(row)
+        if verdict is None:
+            report.skipped.append(gate_id)
+            continue
+        prop, test = verdict
+        if test is None:
+            row["status"] = "true-prop"
+            continue
+        row.update(status="false-prop", property=len(report.false_props))
+        report.false_props.append(prop)
+        bug = bug_of(gate_id, test)
+        if bug is not None:
+            report.bugs.append(bug)
+            if not continue_after_bug:
+                break
+            continue
+        key = test.input_key()
+        if key not in seen:
+            seen.add(key)
+            found.append(test)
 
 
 def compset(spec: Specification, circuit: Circuit, policy: str = "stuck-at",
             continue_after_bug: bool = False,
             clause_budget: Optional[int] = None,
-            conflict_limit: Optional[int] = None,
-            jobs: int = 1) -> CompsetReport:
+            conflict_limit: Optional[int] = None) -> CompsetReport:
     """Mutate every gate once, keep the false properties, extract their
     breaking tests, and stop early if a test exposes a real bug (it falsifies
     a required property or disagrees with the golden model).
@@ -298,52 +334,21 @@ def compset(spec: Specification, circuit: Circuit, policy: str = "stuck-at",
             if not c.vars <= iface:
                 raise VerifyError(
                     f"hard property {hp.name!r} mentions a non-interface pin")
-    policy = _POLICY_ALIASES.get(policy, policy)
-    gate_ids = sorted(f.groups)
-    work = [(f, g, policy, clause_budget, conflict_limit) for g in gate_ids]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_compset_gate, work))
-    else:
-        results = map(_compset_gate, work)
 
-    report = CompsetReport(circuit, policy)
-    seen_tests: set = set()
-    for gate_id, m, sol, prop in results:
-        if prop is None:
-            report.gate_status.append(
-                {"gate": gate_id, "status": "skipped", "mutation": m.describe()})
-            report.skipped.append(gate_id)
-            continue
-        if prop.status == STATUS_TRUE:
-            report.gate_status.append(
-                {"gate": gate_id, "status": "true-prop", "mutation": m.describe()})
-            continue
-        report.gate_status.append(
-            {"gate": gate_id, "status": "false-prop", "mutation": m.describe(),
-             "property": len(report.false_props)})
-        report.false_props.append(prop)
-        tv = prop.witness
-        env = dict(tv.inputs)
-        env.update(tv.outputs)
-        bug = None
-        for hp in spec.hard:
-            if _falsified_named(hp, env):
-                bug = BugRecord("hard-property", hp.name, gate_id, tv)
-                break
-        if bug is None and spec.golden is not None and \
-                _golden_disagrees(circuit, spec.golden, tv):
-            bug = BugRecord("golden", "output mismatch", gate_id, tv)
-        if bug is not None:
-            report.bugs.append(bug)
-            if not continue_after_bug:
-                break
-            continue
-        key = tv.input_key()
-        if key not in seen_tests:
-            seen_tests.add(key)
-            report.tests.append(tv)
+    def judge(m: Mutation):
+        sol = pqe_cegar(problem_from_split(apply_mutation(f, m), original=f),
+                        clause_budget=clause_budget,
+                        conflict_limit=conflict_limit)
+        if sol.partial:
+            return None
+        prop = classify_property(f, sol.clauses, provenance=m,
+                                 conflict_limit=conflict_limit)
+        return prop, prop.witness
+
+    report = CompsetReport(circuit, _POLICY_ALIASES.get(policy, policy))
+    bug_of = _bug_check(spec, lambda tv: {**tv.inputs, **tv.outputs},
+                        partial(_golden_disagrees, circuit))
+    _each_gate(report, f, judge, bug_of, report.tests, continue_after_bug)
     return report
 
 

@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 
 from falseprops.cnf import (CnfError, Lit, clause, encode_circuit,
-                            encode_gate, export_dimacs, formula, import_dimacs,
-                            neg, pos, replace_group)
+                            encode_gate, export_dimacs, formula, neg, pos,
+                            replace_group)
 from falseprops.netlist import GATE_KINDS, Gate, eval_gate, parse_netlist, simulate
 from falseprops.randcirc import random_circuit
 
@@ -179,21 +179,3 @@ def test_dimacs_empty_formula():
     assert "p cnf 0 0" in export_dimacs(formula([], num_vars=0))
 
 
-def test_dimacs_roundtrip():
-    f = encode_circuit(twogate())
-    f2 = import_dimacs(export_dimacs(f))
-    assert f2.varmap.roles == f.varmap.roles
-    assert [frozenset(c.lits) for c in f2.clauses] == \
-        [frozenset(c.lits) for c in f.clauses]
-    assert f2.groups == f.groups
-
-
-def test_dimacs_import_errors():
-    with pytest.raises(CnfError, match="problem line"):
-        import_dimacs("1 2 0\n")
-    with pytest.raises(CnfError, match="terminated"):
-        import_dimacs("p cnf 2 1\n1 2\n")
-    with pytest.raises(CnfError, match="out of range"):
-        import_dimacs("p cnf 1 1\n2 0\n")
-    with pytest.raises(CnfError, match="promises"):
-        import_dimacs("p cnf 1 2\n1 0\n")

@@ -8,9 +8,9 @@ from falseprops.mutate import (MutationError, apply_mutation, clause_flip,
                                enumerate_mutations, gate_subst, stuck_at,
                                substitution_kinds)
 from falseprops.netlist import parse_netlist
-from falseprops.randcirc import random_circuit, random_cnf, random_mutation
+from falseprops.randcirc import random_circuit, random_mutation
 
-from util import and1, eval_full, twogate
+from util import and1, eval_full, random_cnf, twogate
 
 
 def lit_sets(cls):
@@ -190,6 +190,18 @@ def test_gstar_vars_stay_inside_group():
             allowed |= f.clauses[i].vars
         for cl in m.gstar:
             assert cl.vars <= allowed
+
+
+def test_random_mutation_never_identity_after_a_gate_subst():
+    # the gate table still says AND after AND -> OR, so OR is drawn as an
+    # alternative although it is the group's current encoding
+    c = parse_netlist("input a b; z = AND(a, b); output z;")
+    f = encode_circuit(c)
+    f2 = apply_mutation(f, gate_subst(f, c.id_of["z"], "OR")).formula
+    rng = random.Random(0)
+    for _ in range(200):
+        m = random_mutation(rng, f2, kinds=("gate-subst",))
+        assert not m.identity and m.new_kind != "OR"
 
 
 def test_mutation_json_uses_names():

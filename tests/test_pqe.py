@@ -7,13 +7,13 @@ from falseprops.cnf import clause, encode_circuit, neg, pos
 from falseprops.mutate import (apply_mutation, clause_flip, enumerate_mutations,
                                gate_subst, stuck_at)
 from falseprops.pqe import (EnumerationBoundExceeded, PqeError, PqeProblem,
-                            TruthTable, check_totality, noise_filter,
+                            noise_filter,
                             pqe_cegar, pqe_oracle, problem_from_split,
                             qe_enumerate, verify_solution)
 from falseprops.randcirc import random_circuit, random_mutation
 from falseprops.netlist import parse_netlist
 
-from util import and1, twogate
+from util import and1, is_total, twogate
 
 
 def and_stuck0_problem():
@@ -40,13 +40,6 @@ def test_qe_enumerate_bound():
     f = encode_circuit(twogate())
     with pytest.raises(EnumerationBoundExceeded):
         qe_enumerate(f, (), bound=3)
-
-
-def test_truth_table_functional():
-    tbl = TruthTable((0, 1), frozenset({(0, 0), (1, 1)}))
-    assert tbl.is_functional(1)
-    assert not tbl.is_functional(2)
-    assert not TruthTable((0, 1), frozenset({(0, 0), (0, 1), (1, 1)})).is_functional(1)
 
 
 def test_problem_partition_validated():
@@ -197,15 +190,15 @@ def test_cegar_stats_sane():
 def test_totality_stuck_at_preserves():
     f = encode_circuit(twogate())
     split = apply_mutation(f, stuck_at(f, 4, 1))
-    assert check_totality(split.formula)
+    assert is_total(split.formula)
 
 
 def test_totality_broken_by_clause_flip():
     f = encode_circuit(and1())
     # flipping v1 in (v1 v -v3) forbids the input v1=1, v2=1
     split = apply_mutation(f, clause_flip(f, 0, 0))
-    assert not check_totality(split.formula)
-    assert check_totality(f)
+    assert not is_total(split.formula)
+    assert is_total(f)
 
 
 def test_input_only_clauses_imply_broken_totality():
@@ -224,7 +217,7 @@ def test_input_only_clauses_imply_broken_totality():
                   if {l.var for l in cl.lits} <= xs]
         if x_only:
             seen_x_only = True
-            assert not check_totality(split.formula)
+            assert not is_total(split.formula)
     assert seen_x_only
 
 
@@ -235,7 +228,7 @@ def test_clause_flip_yields_input_only_clauses():
     p = problem_from_split(split, original=f)
     sol = pqe_cegar(p)
     assert sol.clauses == (clause(pos(0), pos(2)), clause(pos(1), pos(2)))
-    assert not check_totality(split.formula)
+    assert not is_total(split.formula)
     assert verify_solution(p, sol.clauses)
 
 
@@ -437,7 +430,7 @@ def test_cegar_raises_if_fstar_extends_a_miter_model(monkeypatch):
 
 
 def test_sequential_and_dimacs_problems_search_fprime():
-    from falseprops.cnf import export_dimacs, import_dimacs
+    from falseprops.cnf import CnfFormula
     from falseprops.pqe import _expansion_miter
     from falseprops.seq import seq_problem, unroll
     c = parse_netlist("input en; latch s ns init 0; ns = XOR(en, s); "
@@ -447,7 +440,8 @@ def test_sequential_and_dimacs_problems_search_fprime():
     assert _expansion_miter(p) is None
     assert verify_solution(p, pqe_cegar(p).clauses)
     assert verify_solution(p, pqe_oracle(p).clauses)
-    f = import_dimacs(export_dimacs(encode_circuit(twogate())))
+    f = encode_circuit(twogate())
+    f = CnfFormula(f.clauses, f.varmap)
     assert f.groups and f.gate_table is None
     for ci in range(len(f.clauses)):
         p = problem_from_split(apply_mutation(f, clause_flip(f, ci, 0)))

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from falseprops.cnf import Lit, clause, encode_circuit, formula, neg, pos
-from falseprops.randcirc import random_cnf
 from falseprops.sat import (SAT, UNSAT, BudgetExceeded, Solver,
                             break_implication, implies, solve, solver_for)
 
-from util import and1
+from util import and1, random_cnf
 
 
 def and1_formula():
@@ -129,10 +128,20 @@ def test_break_implication_empty_q():
 def test_break_implication_finds_breaker():
     f = and1_formula()
     q = [clause(neg(2), pos(0)), clause(pos(2), pos(0), pos(1))]
-    model = break_implication(f, q)
-    assert model is not None
+    i, model = break_implication(f, q)
+    assert i == 1  # the first clause is implied, the second is not
     assert all(c.satisfied_by(model) for c in f.clauses)
-    assert not q[1].satisfied_by(model)  # first clause is implied, second not
+    assert not q[1].satisfied_by(model)
+
+
+def test_break_implication_returns_first_breaker_index():
+    f = and1_formula()
+    implied = clause(neg(2), pos(0))
+    q = [implied, implied, clause(neg(0)), clause(neg(1)), clause(neg(2))]
+    i, model = break_implication(f, q)
+    assert i == 2
+    assert model[0] == 1 and not q[2].satisfied_by(model)
+    assert break_implication(f, q[3:])[0] == 0
 
 
 def test_break_implication_none_when_implied():

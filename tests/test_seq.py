@@ -16,6 +16,8 @@ from falseprops.seq import (SeqError, false_safety_prop, find_counterexample,
 from falseprops.verify import (Property, Specification, VerifyError,
                                parse_property_file)
 
+TWO = ("circuit two; input en; latch s ns init 0; latch t nt init 0; "
+       "ns = XOR(en, s); nt = AND(en, ns); output ns;")
 TOGGLE = "circuit toggle; input en; latch s ns init 0; ns = XOR(en, s); output ns;"
 MOD3 = ("circuit mod3; latch s0 n0 init 0; latch s1 n1 init 0; "
         "n0 = NOR(s0, s1); n1 = BUF(s0); output n0;")
@@ -166,6 +168,10 @@ def test_find_counterexample_rejects_non_state():
     u = unroll(toggle(), 1)
     with pytest.raises(SeqError, match="non-state"):
         find_counterexample(u, Property((clause(pos(0)),)))
+    # every clause is checked before the search, even one after a breaker
+    assert find_counterexample(u, Property((clause(neg(1)),))) is not None
+    with pytest.raises(SeqError, match="non-state"):
+        find_counterexample(u, Property((clause(neg(1)), clause(pos(0)))))
 
 
 def test_trace_json_and_rendering():
@@ -211,7 +217,6 @@ def test_reach_mod3():
         [{(0, 0)}, {(1, 0)}, {(0, 1)}]
     assert r.reachable == {(0, 0), (1, 0), (0, 1)}
     assert r.diameter == 2
-    assert r.state_bits() == 2
 
 
 def test_reach_toggle():
@@ -264,7 +269,7 @@ def test_seq_compset_golden_bug():
     golden = parse_netlist("circuit toggle; input en; latch s ns init 0; "
                            "ns = XNOR(en, s); output ns;")
     rep = seq_compset(Specification(golden=golden), impl, 1)
-    assert rep.bugs and rep.bugs[0]["kind"] == "golden"
+    assert rep.bugs and rep.bugs[0].kind == "golden"
     assert rep.bug_trace is not None
 
 
@@ -272,10 +277,39 @@ def test_seq_compset_hard_property_bug():
     c = toggle()
     hard = parse_property_file('[{"name": "stay-zero", "clauses": [["-s"]]}]', c)
     rep = seq_compset(Specification(hard=hard), c, 1)
-    assert rep.bugs and rep.bugs[0]["kind"] == "hard-property"
-    assert rep.bugs[0]["detail"] == "stay-zero"
+    assert rep.bugs and rep.bugs[0].kind == "hard-property"
+    assert rep.bugs[0].detail == "stay-zero"
     final = rep.bug_trace.states[-1]
     assert final == {1: 1}
+
+
+def test_seq_compset_continue_after_bug_records_every_bug():
+    c = parse_netlist(TWO)
+    hard = parse_property_file('[{"name": "s-low", "clauses": [["-s"]]}]', c)
+    spec = Specification(hard=hard)
+    ns, nt = c.id_of["ns"], c.id_of["nt"]
+    first = seq_compset(spec, c, 1)
+    assert [b.gate for b in first.bugs] == [ns]
+    assert first.gates_processed == (ns,)
+    rep = seq_compset(spec, c, 1, continue_after_bug=True)
+    assert [(b.kind, b.detail, b.gate) for b in rep.bugs] == \
+        [("hard-property", "s-low", ns), ("hard-property", "s-low", nt)]
+    assert [(r["gate"], r["status"], r["property"]) for r in rep.gate_status] \
+        == [(ns, "false-prop", 0), (nt, "false-prop", 1)]
+    assert all(b.test.states[-1][c.id_of["s"]] == 1 for b in rep.bugs)
+    assert rep.bug_trace is rep.bugs[0].test
+    assert not rep.traces and not rep.skipped
+    d = rep.to_json()
+    assert [(b["gate"], b["trace"]["states"][-1]) for b in d["bugs"]] == \
+        [("ns", {"s": 1, "t": 1}), ("nt", {"s": 1, "t": 1})]
+
+
+def test_seq_compset_keeps_one_trace_per_input_sequence():
+    c = parse_netlist(TWO)
+    rep = seq_compset(Specification(), c, 1)
+    assert [r["status"] for r in rep.gate_status] == ["false-prop"] * 2
+    assert len(rep.false_props) == 2
+    assert [t.inputs for t in rep.traces] == [({c.id_of["en"]: 1},)]
 
 
 def test_seq_compset_hard_property_must_be_state():
@@ -320,6 +354,28 @@ def test_seq_compset_counterexample_budget_skips():
     assert g1 in rep.skipped
     status = {r["gate"]: r["status"] for r in rep.gate_status}
     assert status[g1] == "skipped"
+
+
+def test_seq_compset_calls_hooks_through_the_module_once_per_gate(monkeypatch):
+    # benchmarks and tracers replace these two functions to observe each
+    # verdict; the per-gate loop must look them up in seq at call time
+    import falseprops.seq as seq_mod
+    calls = {"false_safety_prop": 0, "find_counterexample": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(seq_mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(seq_mod, name, counting)
+    rng = random.Random(32)
+    for policy in ("stuck-at", "gate-subst", "clause-flip"):
+        c = random_sequential(rng, 2, 6, 2)
+        for name in calls:
+            calls[name] = 0
+        rep = seq_compset(Specification(), c, 2, policy=policy)
+        assert not rep.skipped
+        assert calls == {"false_safety_prop": len(c.gates),
+                         "find_counterexample": len(c.gates)}
+        assert len(rep.gate_status) == len(c.gates)
 
 
 def test_seq_compset_json_shape():

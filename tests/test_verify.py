@@ -240,11 +240,25 @@ def test_compset_hard_property_pin_check():
         compset(Specification(hard=hard), c)
 
 
-def test_compset_parallel_matches_serial():
-    c = twogate()
-    serial = compset(Specification(), c, policy="stuck-at", jobs=1)
-    parallel = compset(Specification(), c, policy="stuck-at", jobs=2)
-    assert serial.to_json() == parallel.to_json()
+def test_compset_calls_classify_through_the_module_once_per_gate(monkeypatch):
+    # benchmarks and tracers replace verify.classify_property to observe
+    # each verdict; the per-gate loop must look it up there at call time
+    import falseprops.verify as verify_mod
+    calls = []
+    real = verify_mod.classify_property
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "classify_property", counting)
+    rng = random.Random(31)
+    for policy in ("stuck-at", "gate-subst", "clause-flip"):
+        c = random_circuit(rng, 4, 8, n_outputs=2)
+        calls.clear()
+        rep = compset(Specification(), c, policy=policy)
+        assert not rep.skipped
+        assert len(calls) == len(rep.gate_status) == len(c.gates)
 
 
 def test_compset_report_json_shape():

@@ -7,9 +7,12 @@ exhaustive simulation of a miter, never from the CNF/SAT/PQE stack.
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
+from falseprops.cnf import CnfFormula, Lit, ROLE_INPUT, clause, formula
 from falseprops.netlist import Circuit, eval_gate
+from falseprops.pqe import qe_enumerate
 from falseprops import parse_netlist
 
 AND1 = "input v1 v2; v3 = AND(v1, v2); output v3;"
@@ -28,6 +31,23 @@ def and1() -> Circuit:
 
 def twogate() -> Circuit:
     return parse_netlist(TWOGATE)
+
+
+def random_cnf(rng: random.Random, n_vars: int, n_clauses: int,
+               width: int = 3) -> CnfFormula:
+    cls = []
+    for _ in range(n_clauses):
+        vs = rng.sample(range(n_vars), min(width, n_vars))
+        cls.append(clause(*[Lit(v, rng.random() < 0.5) for v in vs]))
+    return formula(cls, num_vars=n_vars)
+
+
+def is_total(fstar: CnfFormula) -> bool:
+    """Every input assignment extends to a model of F*: the projection of
+    F* onto its inputs has all 2^|x| rows."""
+    xs = fstar.varmap.with_role(ROLE_INPUT)
+    others = [v for v in range(fstar.num_vars) if v not in xs]
+    return len(qe_enumerate(fstar, others).rows) == 1 << len(xs)
 
 
 def input_combos(c: Circuit):
